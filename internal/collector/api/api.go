@@ -77,6 +77,11 @@ const (
 	// the slice (degenerate data, e.g. a window shorter than the bootstrap
 	// block length). Not retryable until more data arrives.
 	CodeEstimateFailed = "estimate_failed"
+	// CodeInsufficientData: the slice holds too few records for the
+	// requested estimator (e.g. no time slot reaches the minimum action
+	// count for mode=normalized). Sent with 422; retry once more data has
+	// arrived, or query a wider slice or window.
+	CodeInsufficientData = "insufficient_data"
 	// CodeInvalidWindow: the window/at query parameters were malformed —
 	// an unparseable or non-positive window duration, an unparseable at
 	// timestamp, or at without window.

@@ -74,7 +74,7 @@ func (e *Estimator) estimateTimeNormalizedColumns(sp *obs.Span, times []timeutil
 // sample count. Stage spans are recorded under sp (which may be nil).
 func (e *Estimator) poolNormalized(sp *obs.Span, slots []*slotData, totalN int) (*Curve, error) {
 	if len(slots) == 0 {
-		return nil, fmt.Errorf("core: no slot reaches %d actions; use a longer window or coarser slots", e.opts.MinSlotActions)
+		return nil, fmt.Errorf("%w: no slot reaches %d actions; use a longer window or coarser slots", ErrInsufficientData, e.opts.MinSlotActions)
 	}
 
 	// Busiest slots first for the rotating reference.

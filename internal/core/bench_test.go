@@ -177,3 +177,44 @@ func BenchmarkUnbiasedSweep(b *testing.B) {
 		s.fillSweep(lo, hi, draws, src, &sc, u)
 	}
 }
+
+// gridColumns synthesizes n time-sorted records one per grid cell, each
+// at a random instant in its cell's first half with a log-normal latency
+// — the column shape perfbench's workloads feed sensd's hot tier.
+func gridColumns(n int, grid timeutil.Millis) ([]timeutil.Millis, []float64) {
+	src := rng.New(91)
+	times := make([]timeutil.Millis, n)
+	lats := make([]float64, n)
+	for i := range times {
+		times[i] = timeutil.Millis(i)*grid + timeutil.Millis(src.Intn(int(grid/2)))
+		lats[i] = 400 * src.LogNormal(0, 0.5)
+	}
+	return times, lats
+}
+
+// BenchmarkEstimateCIDashboardShape is the default 40-replicate plain
+// bootstrap at perfbench's dashboard shape: 245k records on a 324 ms grid,
+// so the window spans 4 six-hour blocks.
+func BenchmarkEstimateCIDashboardShape(b *testing.B) {
+	benchmarkEstimateCIShape(b, 245_000, 324)
+}
+
+// BenchmarkEstimateCIIngestShape is the same at the ingest shape: 380k
+// records on a 1 s grid, 18 blocks.
+func BenchmarkEstimateCIIngestShape(b *testing.B) {
+	benchmarkEstimateCIShape(b, 380_000, 1000)
+}
+
+func benchmarkEstimateCIShape(b *testing.B, n int, grid timeutil.Millis) {
+	b.Helper()
+	times, lats := gridColumns(n, grid)
+	e := benchEstimator(b)
+	opts := DefaultCIOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.EstimateCIColumns(times, lats, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,11 +34,13 @@ type CIOptions struct {
 	MinSupport float64
 	// Seed drives block resampling.
 	Seed uint64
-	// Workers bounds how many bootstrap replicates run concurrently.
-	// 0 means GOMAXPROCS; 1 recovers the serial path. The output is
-	// bit-identical at any worker count: each replicate's randomness is
-	// derived up front with Source.Split(rep), and replicate results are
-	// aggregated in replicate order after all workers finish.
+	// Workers bounds the bootstrap's concurrency: how many (position,
+	// block) pair sweeps and replicate finishes (plain) or whole replicates
+	// (time-normalized) run at once. 0 means GOMAXPROCS; 1 recovers the
+	// serial path. The output is bit-identical at any worker count: each
+	// replicate's randomness is derived up front with Source.Split(rep),
+	// and replicate results are aggregated in replicate order after all
+	// workers finish.
 	Workers int
 	// KeepSamples retains the per-bin replicate NLP samples on the result
 	// (CurveCI.BinSamples) for distribution-level comparisons such as the
@@ -171,87 +172,73 @@ func (e *Estimator) buildBootBlocks(times []timeutil.Millis, lats []float64, blo
 			bb.hists[b] = h
 		}
 		// Draw instants are uniform over the block-partition span (every
-		// replicate's resampled series occupies exactly this window).
-		draws := int(math.Ceil(float64(len(times)) * e.opts.UnbiasedPerSample))
-		span := uint64(timeutil.Millis(numBlocks) * blockLen)
-		src := rng.New(e.opts.Seed)
-		bb.sweepKeys = make([]uint64, draws)
-		for i := range bb.sweepKeys {
-			bb.sweepKeys[i] = src.Uint64n(span)
-		}
-		bb.auxSeed = src.Uint64()
-		slices.Sort(bb.sweepKeys)
+		// replicate's resampled series occupies exactly this window). The
+		// plan generates them from the estimator seed and radix-sorts
+		// them — the schedule CIState retains across epochs.
+		var plan UnbiasedPlan
+		plan.update(e.opts.Seed, uint64(timeutil.Millis(numBlocks)*blockLen),
+			drawCount(len(times), e.opts.UnbiasedPerSample))
+		bb.sweepKeys, bb.auxSeed = plan.sorted, plan.auxSeed
 	}
 	return bb, nil
 }
 
-// ciScratch is one worker's reusable replicate state: resampled series
-// buffers, histograms, and the sweep sampler's key buffer all survive
-// across the replicates the worker processes.
-type ciScratch struct {
-	times []timeutil.Millis
-	lats  []float64
-	b, u  *histogram.Histogram
-	sweep sweepScratch
+// normalizedReplicates estimates every time-normalized replicate on a pool
+// of workers, each reusing its own resampled-column buffers. outs[rep] is
+// nil for a replicate skipped as degenerate.
+func (e *Estimator) normalizedReplicates(bb *bootBlocks, srcs []*rng.Source, workers int) []*Curve {
+	outs := make([]*Curve, len(srcs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var times []timeutil.Millis
+			var lats []float64
+			for {
+				rep := int(next.Add(1)) - 1
+				if rep >= len(srcs) {
+					return
+				}
+				repStart := time.Now()
+				var c *Curve
+				var err error
+				times, lats = bb.resample(srcs[rep], times[:0], lats[:0])
+				if len(times) == 0 {
+					err = errEmptyRecords
+				} else {
+					// Sorted by construction; the slot partition consumes
+					// the columns before the buffers are reused.
+					c, err = e.estimateTimeNormalizedColumns(nil, times, lats)
+				}
+				observeReplicate(repStart, err)
+				if err == nil {
+					outs[rep] = c
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return outs
 }
 
-// runPlainReplicate estimates one bootstrap replicate with the pooled
-// (no-α) estimator, never materializing the resampled records: the biased
-// histogram is summed from the picked blocks' precomputed histograms and
-// the unbiased sweep runs over reused flat time/latency buffers. The
-// resampled series is sorted by construction (ascending blocks of
-// ascending, uniformly shifted times), so no re-sort is needed.
-func (e *Estimator) runPlainReplicate(bb *bootBlocks, src *rng.Source, sc *ciScratch) (*Curve, error) {
+// resample appends one replicate's resampled series to times/lats: for
+// each position in order, a uniformly picked block's records re-timed to
+// that position. The series is sorted by construction (ascending blocks of
+// ascending, uniformly shifted times).
+func (bb *bootBlocks) resample(src *rng.Source, times []timeutil.Millis, lats []float64) ([]timeutil.Millis, []float64) {
 	numBlocks := len(bb.ranges)
-	sc.times = sc.times[:0]
-	sc.lats = sc.lats[:0]
-	sc.b.Reset()
 	for pos := 0; pos < numBlocks; pos++ {
 		pick := src.Intn(numBlocks)
 		shift := timeutil.Millis(pos-pick) * bb.blockLen
 		r := bb.ranges[pick]
 		for _, t := range bb.times[r[0]:r[1]] {
-			sc.times = append(sc.times, t+shift)
+			times = append(times, t+shift)
 		}
-		sc.lats = append(sc.lats, bb.lats[r[0]:r[1]]...)
-		if err := sc.b.AddHistogram(bb.hists[pick]); err != nil {
-			return nil, err
-		}
+		lats = append(lats, bb.lats[r[0]:r[1]]...)
 	}
-	n := len(sc.times)
-	if n == 0 {
-		return nil, errEmptyRecords
-	}
-	sc.u.Reset()
-	// Replicates share one precomputed sorted key set: the draw instants
-	// depend only on the estimator seed, so replicate variation comes
-	// from the block composition — not from re-rolling the Monte Carlo
-	// draws — and the per-replicate keygen + sort disappears entirely.
-	sweepSortedKeys(sc.times, sc.lats, bb.windowLo, bb.sweepKeys, bb.auxSeed, sc.u)
-	return e.finishCurve(nil, sc.b, sc.u, n, len(bb.sweepKeys))
-}
-
-// runNormalizedReplicate estimates one bootstrap replicate with the full
-// time-normalized estimator over reused resampled-column buffers.
-func (e *Estimator) runNormalizedReplicate(bb *bootBlocks, src *rng.Source, sc *ciScratch) (*Curve, error) {
-	numBlocks := len(bb.ranges)
-	sc.times = sc.times[:0]
-	sc.lats = sc.lats[:0]
-	for pos := 0; pos < numBlocks; pos++ {
-		pick := src.Intn(numBlocks)
-		shift := timeutil.Millis(pos-pick) * bb.blockLen
-		r := bb.ranges[pick]
-		for _, t := range bb.times[r[0]:r[1]] {
-			sc.times = append(sc.times, t+shift)
-		}
-		sc.lats = append(sc.lats, bb.lats[r[0]:r[1]]...)
-	}
-	if len(sc.times) == 0 {
-		return nil, errEmptyRecords
-	}
-	// Sorted by construction; the slot partition consumes the columns
-	// before this replicate's buffers are reused.
-	return e.estimateTimeNormalizedColumns(nil, sc.times, sc.lats)
+	return times, lats
 }
 
 // EstimateCI computes the NLP curve together with moving-block bootstrap
@@ -317,16 +304,15 @@ func (e *Estimator) estimateCI(times []timeutil.Millis, lats []float64, opts CIO
 	if err != nil {
 		return nil, err
 	}
-	return e.bootstrapCI(sp, point, bb, opts, nil)
+	return e.bootstrapCI(sp, point, bb, opts)
 }
 
-// bootstrapCI runs the replicate pool over a prepared block partition and
+// bootstrapCI runs the replicates over a prepared block partition and
 // aggregates per-bin bounds. It is shared verbatim by the batch path
 // (estimateCI) and the delta-maintained path (EstimateCIIncremental), which
 // is what keeps the two bit-identical: replicate randomness, scheduling and
-// aggregation order are all decided here. st, when non-nil, donates retained
-// per-worker replicate scratch so repeated estimations stop allocating.
-func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts CIOptions, st *CIState) (*CurveCI, error) {
+// aggregation order are all decided here.
+func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts CIOptions) (*CurveCI, error) {
 	if opts.MinSupport == 0 {
 		opts.MinSupport = 0.5
 	}
@@ -355,82 +341,29 @@ func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts
 	untraced.trace = nil
 	untraced.opts.Workers = 1
 
-	type repOut struct {
-		nlp   []float64
-		valid []bool
-		ok    bool
+	var outs []*Curve
+	if opts.TimeNormalized {
+		outs = untraced.normalizedReplicates(bb, repSrcs, workers)
+	} else {
+		var pairSweeps, edgeDraws int
+		outs, pairSweeps, edgeDraws = untraced.plainReplicates(bb, repSrcs, workers)
+		bootSp.SetAttr("pair_sweeps", pairSweeps)
+		bootSp.SetAttr("edge_draws", edgeDraws)
 	}
-	outs := make([]repOut, opts.Resamples)
-	// Per-worker scratch comes from the retained pool when a CIState is
-	// present; the pool is sized serially here so workers never mutate it.
-	var pool []*ciScratch
-	if st != nil {
-		for len(st.scs) < workers {
-			st.scs = append(st.scs, nil)
-		}
-		pool = st.scs
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := &ciScratch{}
-			if pool != nil {
-				if pool[w] == nil {
-					pool[w] = sc
-				} else {
-					sc = pool[w]
-				}
-			}
-			if !opts.TimeNormalized && sc.b == nil {
-				sc.b = untraced.newHist()
-				sc.u = untraced.newHist()
-			}
-			for {
-				rep := int(next.Add(1)) - 1
-				if rep >= opts.Resamples {
-					return
-				}
-				repStart := time.Now()
-				var c *Curve
-				var repErr error
-				if opts.TimeNormalized {
-					c, repErr = untraced.runNormalizedReplicate(bb, repSrcs[rep], sc)
-				} else {
-					c, repErr = untraced.runPlainReplicate(bb, repSrcs[rep], sc)
-				}
-				if m := getMetrics(); m != nil {
-					m.replicateDur.ObserveSince(repStart)
-					if repErr != nil {
-						m.replicateErr.Inc()
-					} else {
-						m.replicates.Inc()
-					}
-				}
-				if repErr != nil {
-					continue // a degenerate replicate (e.g. empty) is skipped
-				}
-				outs[rep] = repOut{nlp: c.NLP, valid: c.Valid, ok: true}
-			}
-		}()
-	}
-	wg.Wait()
 
 	// Aggregate in replicate order so per-bin sample order (and hence the
 	// quantiles below) never depends on worker scheduling.
 	bins := len(point.NLP)
 	samples := make([][]float64, bins) // per-bin replicate values
 	replicates := 0
-	for _, o := range outs {
-		if !o.ok {
-			continue
+	for _, c := range outs {
+		if c == nil {
+			continue // a degenerate replicate (e.g. empty) is skipped
 		}
 		replicates++
 		for i := 0; i < bins; i++ {
-			if o.valid[i] {
-				samples[i] = append(samples[i], o.nlp[i])
+			if c.Valid[i] {
+				samples[i] = append(samples[i], c.NLP[i])
 			}
 		}
 	}

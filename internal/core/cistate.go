@@ -14,20 +14,21 @@ import (
 // redoes only delta work before the replicates run:
 //
 //   - per-block biased histograms fold new records in O(delta) (a record's
-//     block is a pure function of its instant, and histogram adds commute);
+//     block is a pure function of its instant, and histogram adds commute),
+//     including appends newer than all history, which grow the block list;
+//     only a record before the window's first instant forces a rebuild;
 //   - block index ranges are re-derived by binary search, O(blocks·log n),
 //     instead of an O(n) rescan;
 //   - the shared replicate sweep-key schedule lives in an UnbiasedPlan, so
 //     a grown draw count extends the retained key stream instead of
-//     re-drawing and re-sorting all O(draws) keys;
-//   - per-worker replicate scratch (resampled columns, histograms) is
-//     pooled, so steady-state re-estimation allocates nothing per epoch.
+//     re-drawing and re-sorting all O(draws) keys.
 //
 // The replicates themselves are rerun in full through the same bootstrapCI
 // the batch path uses — that is what keeps EstimateCIIncremental
-// bit-identical to EstimateCIColumns. (Replicate sweeps dominate the
-// remaining cost; the flag-gated BootSketch trades exactness for making
-// that part incremental too.)
+// bit-identical to EstimateCIColumns. Their cost is one sweep per distinct
+// (position, block) pair, not one full-series sweep per replicate (see
+// plainReplicates); the flag-gated BootSketch trades exactness for making
+// that part incremental too.
 //
 // CIState is single-goroutine state, owned by its Incremental.
 type CIState struct {
@@ -38,28 +39,32 @@ type CIState struct {
 	hists     []*histogram.Histogram
 	ranges    [][2]int
 	plan      UnbiasedPlan
-	scs       []*ciScratch
 }
 
-// foldRecords keeps the per-block histograms current for a delta. Deltas
-// that move the observation window (or arrive before any refresh) just
-// invalidate; the next estimate rebuilds.
-func (st *CIState) foldRecords(dTimes []timeutil.Millis, dLats []float64, windowKept bool) {
+// foldRecords keeps the per-block histograms current for a delta of usable
+// records. Records at or after the window's first instant land in their
+// block, growing the block list when they extend the window; a record
+// before it moves every block boundary, so the state is invalidated and the
+// next estimate rebuilds. Before the first refresh there is nothing to
+// fold.
+func (st *CIState) foldRecords(dTimes []timeutil.Millis, dLats []float64) {
 	if !st.valid {
 		return
 	}
-	if !windowKept {
-		st.valid = false
-		return
-	}
 	for i, t := range dTimes {
-		b := int((t - st.windowLo) / st.blockLen)
-		if b < 0 || b >= len(st.hists) {
+		if t < st.windowLo {
 			st.valid = false
 			return
 		}
+		b := int((t - st.windowLo) / st.blockLen)
+		for len(st.hists) <= b {
+			h := st.hists[0].Clone()
+			h.Reset()
+			st.hists = append(st.hists, h)
+		}
 		st.hists[b].Add(dLats[i])
 	}
+	st.numBlocks = len(st.hists)
 }
 
 // refresh makes the retained state current for the columns and returns the
@@ -150,5 +155,5 @@ func (e *Estimator) EstimateCIIncremental(inc *Incremental, opts CIOptions) (*Cu
 	if err != nil {
 		return nil, err
 	}
-	return e.bootstrapCI(sp, point, bb, opts, inc.CI)
+	return e.bootstrapCI(sp, point, bb, opts)
 }

@@ -101,7 +101,7 @@ func (inc *Incremental) Fold(dTimes []timeutil.Millis, dLats []float64, dSeqs []
 		dTimes[0] >= inc.sum.Times[0] &&
 		dTimes[len(dTimes)-1] <= inc.sum.Times[n-1]
 	if inc.CI != nil {
-		inc.CI.foldRecords(dTimes, dLats, windowKept)
+		inc.CI.foldRecords(dTimes, dLats)
 	}
 	if !inc.stValid || inc.fullSweep || !windowKept {
 		if err := inc.sum.Fold(dTimes, dLats, dSeqs); err != nil {

@@ -519,3 +519,89 @@ func BenchmarkIncrementalDirty(b *testing.B) {
 		b.Fatal("benchmark unexpectedly degraded to full sweeps")
 	}
 }
+
+// TestCIStateFoldsAppendsAcrossBlocks pins that appends newer than all
+// history — the normal live case — fold into CIState's block histograms
+// instead of invalidating them, growing the block list when they cross a
+// block boundary, and that the folded histograms equal a from-scratch
+// rebuild; late records inside the window fold too. A record before the
+// window's first instant still invalidates.
+func TestCIStateFoldsAppendsAcrossBlocks(t *testing.T) {
+	e := testEstimator(t, nil)
+	g := newIncStream(23, 2*timeutil.MillisPerDay, 0.2)
+	inc := e.NewIncremental()
+	ref := &Summary{}
+	opts := DefaultCIOptions()
+	opts.Resamples = 6
+
+	fold := func(ts []timeutil.Millis, ls []float64, qs []uint64) {
+		t.Helper()
+		if err := inc.Fold(ts, ls, qs); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Fold(ts, ls, qs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step int) {
+		t.Helper()
+		got, err := e.EstimateCIIncremental(inc, opts)
+		if err != nil {
+			t.Fatalf("step %d: incremental CI: %v", step, err)
+		}
+		want, err := e.EstimateCIColumns(ref.Times, ref.Lats, opts)
+		if err != nil {
+			t.Fatalf("step %d: batch CI: %v", step, err)
+		}
+		if !boundsEqual(got.Lower, want.Lower) || !boundsEqual(got.Upper, want.Upper) {
+			t.Fatalf("step %d: bootstrap bounds diverged", step)
+		}
+	}
+	appendAfter := func(span timeutil.Millis, d int) {
+		last := ref.Times[len(ref.Times)-1]
+		ts := make([]timeutil.Millis, d)
+		ls := make([]float64, d)
+		qs := make([]uint64, d)
+		for i := range ts {
+			ts[i] = last + 1 + span*timeutil.Millis(i)/timeutil.Millis(d)
+			ls[i] = 50 + 2500*g.src.Float64()
+			g.seq++
+			qs[i] = g.seq
+		}
+		fold(ts, ls, qs)
+	}
+
+	fold(g.initial(3000))
+	check(0)
+	startBlocks := inc.CI.numBlocks
+	for step := 1; step <= 4; step++ {
+		appendAfter(4*timeutil.MillisPerHour, 150)
+		fold(g.delta(3)) // late records inside the window
+		if !inc.CI.valid {
+			t.Fatalf("step %d: append newer than all history invalidated the CI state", step)
+		}
+		fresh := &CIState{}
+		if _, err := fresh.refresh(e, ref.Times, ref.Lats, opts.BlockLen); err != nil {
+			t.Fatal(err)
+		}
+		if inc.CI.numBlocks != fresh.numBlocks || len(inc.CI.hists) != len(fresh.hists) {
+			t.Fatalf("step %d: folded %d blocks, rebuild has %d", step, inc.CI.numBlocks, fresh.numBlocks)
+		}
+		for b := range fresh.hists {
+			if !histsEqual(inc.CI.hists[b], fresh.hists[b]) {
+				t.Fatalf("step %d: block %d histogram differs from rebuild", step, b)
+			}
+		}
+		check(step)
+	}
+	if inc.CI.numBlocks <= startBlocks+1 {
+		t.Fatalf("appends grew %d blocks to %d; want boundary crossings", startBlocks, inc.CI.numBlocks)
+	}
+
+	g.seq++
+	fold([]timeutil.Millis{ref.Times[0] - 1}, []float64{400}, []uint64{g.seq})
+	if inc.CI.valid {
+		t.Fatal("a record before the window kept the CI state valid")
+	}
+	check(5)
+}

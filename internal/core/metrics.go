@@ -17,6 +17,10 @@ type coreMetrics struct {
 	estimateDur  *obs.Histogram
 	replicates   *obs.Counter
 	replicateErr *obs.Counter
+	// replicateDur times one replicate's own work. A plain replicate's
+	// unbiased histogram is mostly summed from (position, block) pair
+	// sweeps shared with other replicates; those sweeps show only in
+	// bootstrapDur, so here a plain replicate is its assembly + finish.
 	replicateDur *obs.Histogram
 	bootstrapDur *obs.Histogram
 	workers      *obs.Gauge
@@ -38,7 +42,8 @@ func EnableMetrics(reg *obs.Registry) {
 		replicateErr: reg.Counter("autosens_core_bootstrap_replicate_failures_total",
 			"bootstrap replicates skipped as degenerate"),
 		replicateDur: reg.Histogram("autosens_core_bootstrap_replicate_duration_seconds",
-			"wall time of one bootstrap replicate", obs.DefLatencyBuckets()),
+			"wall time of one bootstrap replicate's own work: assembly (edge draws, biased histogram) plus curve finish for plain replicates, the whole resample-and-estimate for normalized ones; the shared pair sweeps are excluded",
+			obs.DefLatencyBuckets()),
 		bootstrapDur: reg.Histogram("autosens_core_bootstrap_duration_seconds",
 			"wall time of one full bootstrap (all replicates)", obs.DefLatencyBuckets()),
 		workers: reg.Gauge("autosens_core_bootstrap_workers",
@@ -55,5 +60,17 @@ func observeEstimate(start time.Time) {
 	if m := getMetrics(); m != nil {
 		m.estimates.Inc()
 		m.estimateDur.ObserveSince(start)
+	}
+}
+
+// observeReplicate records one bootstrap replicate's duration and outcome.
+func observeReplicate(start time.Time, err error) {
+	if m := getMetrics(); m != nil {
+		m.replicateDur.ObserveSince(start)
+		if err != nil {
+			m.replicateErr.Inc()
+		} else {
+			m.replicates.Inc()
+		}
 	}
 }

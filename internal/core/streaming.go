@@ -157,7 +157,7 @@ func (s *StreamingEstimator) prepareSlots(minActions int) ([]*slotData, error) {
 		}
 	}
 	if len(keys) == 0 {
-		return nil, fmt.Errorf("core: no slot reaches %d actions", minActions)
+		return nil, fmt.Errorf("%w: no slot reaches %d actions", ErrInsufficientData, minActions)
 	}
 	sort.Ints(keys)
 

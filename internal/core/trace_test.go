@@ -115,6 +115,15 @@ func TestEstimateCIBootstrapSpan(t *testing.T) {
 	if v, ok := boot.Attr("replicates"); !ok || v.(int) != band.Replicates {
 		t.Fatalf("replicates attr = %v, want %d", v, band.Replicates)
 	}
+	// Plain replicates share (position, block) pair sweeps: at most one
+	// per distinct pair, and at least one per position.
+	blocks, _ := boot.Attr("blocks")
+	if v, ok := boot.Attr("pair_sweeps"); !ok || v.(int) < blocks.(int) || v.(int) > blocks.(int)*blocks.(int) {
+		t.Fatalf("pair_sweeps attr = %v with %v blocks", v, blocks)
+	}
+	if v, ok := boot.Attr("edge_draws"); !ok || v.(int) < 0 {
+		t.Fatalf("edge_draws attr = %v", v)
+	}
 	// Replicates run untraced: the bootstrap span must not accumulate
 	// per-replicate stage children.
 	if len(boot.Children()) != 0 {

@@ -107,6 +107,12 @@ var (
 	errNonPositiveDraws = errors.New("core: non-positive draw count")
 )
 
+// ErrInsufficientData marks an estimate that the data is too thin for
+// rather than malformed: the time-normalized estimator found no time slot
+// with enough actions. More data (a longer window, a coarser slice) can
+// cure it. Errors wrapping it are tested with errors.Is.
+var ErrInsufficientData = errors.New("core: insufficient data")
+
 // sweepScratch holds the reusable draw-key buffer for batch unbiased
 // sampling. A nil scratch allocates per call.
 type sweepScratch struct {
@@ -157,7 +163,7 @@ func fillUnbiasedSweep(times []timeutil.Millis, lats []float64, lo, hi timeutil.
 // draw offsets from lo. It is read-only in keys, so one precomputed key
 // set can be shared across bootstrap replicates (the draw instants depend
 // only on the estimator seed, not on the replicate's block picks — see
-// runPlainReplicate).
+// plainReplicates, which sweeps contiguous key ranges of it).
 func sweepSortedKeys(times []timeutil.Millis, lats []float64, lo timeutil.Millis, keys []uint64, auxSeed uint64, hists ...*histogram.Histogram) {
 	if len(keys) == 0 || len(times) == 0 {
 		return

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -374,6 +375,39 @@ func TestCurvesHandler(t *testing.T) {
 	presp.Body.Close()
 	if presp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST status %d", presp.StatusCode)
+	}
+}
+
+// TestCurvesHandlerInsufficientData pins that a slice too thin for the
+// time-normalized estimator — no hourly slot reaches MinSlotActions —
+// answers a typed 422 insufficient_data, not a 500, while the plain
+// estimate of the same slice still serves.
+func TestCurvesHandlerInsufficientData(t *testing.T) {
+	e := newTestEngine(t)
+	e.Append(genStream(8, 400, 2*timeutil.MillisPerDay)) // ~8 records/hour
+	srv := httptest.NewServer(e.CurvesHandler())
+	defer srv.Close()
+
+	if _, err := e.Query(AllSlices, ModeNormalized, false); !errors.Is(err, core.ErrInsufficientData) {
+		t.Fatalf("thin normalized query: %v, want ErrInsufficientData", err)
+	}
+	resp, err := http.Get(srv.URL + "?slice=all&mode=normalized")
+	if err != nil {
+		t.Fatal(err)
+	}
+	apiErr := api.ReadError(resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || apiErr.Code != api.CodeInsufficientData {
+		t.Fatalf("thin normalized slice: status %d code %q, want 422 %q",
+			resp.StatusCode, apiErr.Code, api.CodeInsufficientData)
+	}
+	resp, err = http.Get(srv.URL + "?slice=all&mode=plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("thin plain slice: status %d, want 200", resp.StatusCode)
 	}
 }
 
